@@ -26,7 +26,9 @@ from __future__ import annotations
 import time
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -70,13 +72,14 @@ class BatchResult:
     committed: list[Transaction]
     aborted: list[Transaction]
     logic_aborted: list[Transaction]
-    #: (tid, read_keys, write_keys) per committed txn — lazy inputs for
-    #: the serial-order witness used in serializability tests.
-    _witness_sets: list[tuple[int, set, set]] = field(default_factory=list)
+    #: Builds the ``(tid, read_keys, write_keys)`` witness sets of the
+    #: committed transactions from arrays the batch already kept; only
+    #: :meth:`serial_order` calls it (``None``: no witness).
+    _witness: Callable[[], list[tuple[int, set, set]]] | None = None
 
     def serial_order(self) -> list[int]:
         """TIDs of committed transactions in an equivalent serial order."""
-        return logical_order(self._witness_sets)
+        return logical_order(self._witness() if self._witness else [])
 
     def explain(self, limit: int = 20) -> str:
         """A human-readable per-transaction outcome summary (debugging
@@ -883,16 +886,6 @@ class LTPGEngine:
                     proc = self._resolve_procedure(txn.procedure_name)
                 self._execute_one(txn, proc, data)
 
-        if self.tracer is not None or self.metrics is not None:
-            tallies: dict[str, list[int]] = {}
-            for txn in transactions:
-                t = tallies.setdefault(txn.procedure_name, [0, 0])
-                t[0] += 1
-                t[1] += len(txn.ops)
-            self._last_groups = [
-                (name, t[0], t[1]) for name, t in tallies.items()
-            ]
-
         # Collect op arrays + per-op costs, skipping logic aborts for
         # registration but keeping their cost (the lanes did the work).
         db = self.database
@@ -900,6 +893,16 @@ class LTPGEngine:
             table_txns, touched_rows = self._collect_columnar(transactions, data, ctx)
         else:
             table_txns, touched_rows = self._collect_reference(transactions, data, ctx)
+
+        if self.tracer is not None or self.metrics is not None:
+            tallies: dict[str, list[int]] = {}
+            for txn, ops in zip(transactions, data.op_counts.tolist()):
+                t = tallies.setdefault(txn.procedure_name, [0, 0])
+                t[0] += 1
+                t[1] += ops
+            self._last_groups = [
+                (name, t[0], t[1]) for name, t in tallies.items()
+            ]
 
         # Popularity verdicts drive this batch's bucket sizes.
         self.last_heats = self.hotspot.measure(table_txns)
@@ -956,9 +959,11 @@ class LTPGEngine:
         twin — and individual lanes the twin sends to fallback — run
         through the scalar path, so third-party procedures keep working.
         Either way every transaction ends with the same ``txn.ops``,
-        status and ranges the scalar loop would have produced, and the
-        batch-wide columnar locals land in ``data.batch_locals`` for the
-        scatter-based write-back.
+        status and ranges the scalar loop would have produced (a twin
+        lane's ``txn.ops`` is a lazy window onto its group's op matrix),
+        each group's matrix lands in ``data.op_groups`` for the
+        collector, and the batch-wide columnar locals land in
+        ``data.batch_locals`` for the scatter-based write-back.
         """
         n = len(transactions)
         groups: dict[str, list[int]] = {}
@@ -1021,23 +1026,22 @@ class LTPGEngine:
     ) -> GroupLocals:
         """Apply one group's finalized vectorized results — produced
         in-process or merged back from worker shards — to the
-        transactions: slice per-lane ops out of the matrix, set
-        statuses, re-run fallback lanes through the scalar path."""
+        transactions: hand the lane-sorted op matrix to the collector,
+        give each lane a lazy window onto it, set statuses, re-run
+        fallback lanes through the scalar path."""
         n = len(transactions)
-        # zero-copy byte window over the lane-sorted op matrix;
-        # per-lane slices stay views until frombytes copies them
-        if mat.size:
-            raw = memoryview(np.ascontiguousarray(mat)).cast("B")
-        else:
-            raw = b""
+        positions = np.asarray(idxs, dtype=np.int64)
+        # fallback lanes own no matrix rows (count 0); the collector
+        # takes their ops from the scalar re-run instead
+        live = ~np.asarray(fallback, dtype=bool)
+        data.op_groups.append((positions[live], mat, counts[live]))
         bounds = np.zeros(len(idxs) + 1, dtype=np.int64)
         np.cumsum(counts, out=bounds[1:])
-        bounds *= OP_FIELDS * 8
-        part = g_locals.rekeyed(np.asarray(idxs, dtype=np.int64), n)
+        part = g_locals.rekeyed(positions, n)
         bounds_l = bounds.tolist()
         fallback_l = fallback.tolist()
         aborted_l = aborted.tolist()
-        from_flat = OpColumns.from_flat
+        window = OpColumns.window
         executed = TxnStatus.EXECUTED
         get_ranges = ranges_by_lane.get
         for li, i in enumerate(idxs):
@@ -1046,7 +1050,7 @@ class LTPGEngine:
                 self._execute_one(txn, proc, data)
                 self._fold_scalar_locals(part, i, txn, data)
                 continue
-            txn.ops = from_flat(raw[bounds_l[li]:bounds_l[li + 1]])
+            txn.ops = window(mat, bounds_l[li], bounds_l[li + 1])
             if aborted_l[li]:
                 txn.status = TxnStatus.LOGIC_ABORTED
                 txn.abort_reason = "logic"
@@ -1155,26 +1159,14 @@ class LTPGEngine:
         """
         db = self.database
         n = len(transactions)
-        counts_l: list[int] = []
-        tids_l: list[int] = []
-        registers_l: list[bool] = []
         executed = TxnStatus.EXECUTED
-        flat = array("q")
-        for txn in transactions:
-            buf = txn.ops.buffer
-            flat += buf  # one C-level memcpy per transaction
-            counts_l.append(len(buf))
-            tids_l.append(txn.tid)
-            registers_l.append(txn.status is executed)
-        counts = np.asarray(counts_l, dtype=np.int64) // OP_FIELDS
-        tids = np.asarray(tids_l, dtype=np.int64)
-        registers = np.asarray(registers_l, dtype=bool)
-        total = len(flat) // OP_FIELDS
-        if total:
-            # Zero-copy view: `flat` is local and never grows past here.
-            mat = np.frombuffer(flat, dtype=np.int64).reshape(total, OP_FIELDS)
-        else:
-            mat = np.empty((0, OP_FIELDS), dtype=np.int64)
+        tids = np.fromiter((t.tid for t in transactions), dtype=np.int64, count=n)
+        registers = np.fromiter(
+            (t.status is executed for t in transactions), dtype=bool, count=n
+        )
+        mat, counts = _batch_op_matrix(transactions, data.op_groups)
+        data.op_counts = counts
+        total = mat.shape[0]
         kind = mat[:, 0]
         table = mat[:, 1]
         row = mat[:, 2]
@@ -1306,6 +1298,10 @@ class LTPGEngine:
         ctx.add_divergent_branches(exec_plan.divergent_branches)
 
         touched_rows: dict[int, set[int]] = {}
+        data.op_counts = np.fromiter(
+            (len(t.ops) for t in transactions), dtype=np.int64,
+            count=len(transactions),
+        )
         for idx, txn in enumerate(transactions):
             registers = txn.status is TxnStatus.EXECUTED
             tables_seen: set[int] = set()
@@ -1816,17 +1812,11 @@ class LTPGEngine:
             transfer_ns=transfer_ns,
             phase_ns=phase_ns,
         )
-        witness: list[tuple[int, set, set]] = []
-        # Witness sets are only needed for committed transactions, so
-        # group keys by txn with one argsort + unique-slice pass instead
-        # of per-element dict/set churn.
+        committed_lanes: list[tuple[int, int]] = []
+        # the lazy witness keeps only committed lanes' registrations
         committed_arr = np.asarray(committed_mask, dtype=bool)
-        reads_by_txn = _grouped_key_sets(
-            data.read_txn_arr, data.read_keys, committed_arr
-        )
-        writes_by_txn = _grouped_key_sets(
-            data.write_txn_arr, data.write_keys, committed_arr
-        )
+        keep_r = committed_arr[data.read_txn_arr]
+        keep_w = committed_arr[data.write_txn_arr]
         for idx, txn in enumerate(transactions):
             stats.total_by_proc[txn.procedure_name] += 1
             if txn.status is TxnStatus.LOGIC_ABORTED:
@@ -1842,9 +1832,7 @@ class LTPGEngine:
                 stats.committed += 1
                 stats.committed_by_proc[txn.procedure_name] += 1
                 stats.commit_attempts[txn.attempts] += 1
-                witness.append(
-                    (txn.tid, reads_by_txn.get(idx, set()), writes_by_txn.get(idx, set()))
-                )
+                committed_lanes.append((idx, txn.tid))
             else:
                 txn.status = TxnStatus.ABORTED
                 txn.abort_reason = abort_reason(
@@ -1858,7 +1846,12 @@ class LTPGEngine:
             committed=committed,
             aborted=aborted,
             logic_aborted=logic_aborted,
-            _witness_sets=witness,
+            _witness=partial(
+                _witness_sets,
+                committed_lanes,
+                (data.read_txn_arr[keep_r], data.read_keys[keep_r]),
+                (data.write_txn_arr[keep_w], data.write_keys[keep_w]),
+            ),
         )
 
     # ------------------------------------------------------------------
@@ -1983,19 +1976,74 @@ def _dedup_reservations(op_txn, table, row, group, mask):
     return tb[keep], r[keep], g[keep], t[keep]
 
 
-def _grouped_key_sets(txn_arr, key_arr, committed_mask) -> dict[int, set]:
-    """{txn index -> set(conflict keys)} over committed transactions,
-    built from argsort + np.unique slice boundaries."""
+def _batch_op_matrix(transactions, op_groups):
+    """The batch-order ``(total, OP_FIELDS)`` op matrix and the op count
+    of every batch position.
+
+    Each twin group's finalized lane-sorted matrix lands with one
+    vectorised scatter; only scalar-executed lanes (fallback lanes,
+    twin-less procedures, ``batched_exec=False``) have their op buffers
+    copied.  When one source covers the whole batch (a single twin
+    group, or all scalar lanes) its matrix already is the batch matrix.
+    """
+    n = len(transactions)
+    scalar = np.ones(n, dtype=bool)
+    for positions, _mat, _counts in op_groups:
+        scalar[positions] = False
+    scalar_pos = np.flatnonzero(scalar)
+    flat = array("q")
+    scalar_counts: list[int] = []
+    for i in scalar_pos.tolist():
+        buf = transactions[i].ops.buffer
+        flat += buf  # one C-level memcpy per scalar lane
+        scalar_counts.append(len(buf) // OP_FIELDS)
+    if flat:
+        # zero-copy view: `flat` is local and never grows past here
+        scalar_mat = np.frombuffer(flat, dtype=np.int64).reshape(-1, OP_FIELDS)
+    else:
+        scalar_mat = np.empty((0, OP_FIELDS), dtype=np.int64)
+    sources = [g for g in op_groups if g[0].size]
+    if scalar_pos.size:
+        sources.append(
+            (scalar_pos, scalar_mat, np.asarray(scalar_counts, dtype=np.int64))
+        )
+    if len(sources) == 1:
+        # positions are ascending, so a lone source is in batch order
+        _positions, mat, counts = sources[0]
+        return mat, counts
+    counts = np.zeros(n, dtype=np.int64)
+    for positions, _mat, cnt in sources:
+        counts[positions] = cnt
+    starts = np.zeros(n, dtype=np.int64)
+    np.cumsum(counts[:-1], out=starts[1:])
+    mat = np.empty((int(counts.sum()), OP_FIELDS), dtype=np.int64)
+    for positions, src, cnt in sources:
+        # row r of lane l moves from src_start[l] + r to starts[l] + r
+        shift = starts[positions] - (np.cumsum(cnt) - cnt)
+        mat[np.repeat(shift, cnt) + np.arange(src.shape[0])] = src
+    return mat, counts
+
+
+def _witness_sets(lanes, reads, writes) -> list[tuple[int, set, set]]:
+    """``(tid, read_keys, write_keys)`` per committed lane — ``lanes``
+    holds ``(batch position, tid)`` pairs, ``reads``/``writes`` the
+    committed lanes' registered ``(txn array, key array)`` per side."""
+    reads_by_txn = _grouped_key_sets(*reads)
+    writes_by_txn = _grouped_key_sets(*writes)
+    return [
+        (tid, reads_by_txn.get(idx, set()), writes_by_txn.get(idx, set()))
+        for idx, tid in lanes
+    ]
+
+
+def _grouped_key_sets(txn_arr, key_arr) -> dict[int, set]:
+    """{txn index -> set(conflict keys)}, built from argsort +
+    np.unique slice boundaries."""
     if txn_arr.size == 0:
         return {}
-    mask = committed_mask[txn_arr]
-    t = txn_arr[mask]
-    if t.size == 0:
-        return {}
-    k = key_arr[mask]
-    order = np.argsort(t, kind="stable")
-    t = t[order]
-    k = k[order]
+    order = np.argsort(txn_arr, kind="stable")
+    t = txn_arr[order]
+    k = key_arr[order]
     uniq, starts = np.unique(t, return_index=True)
     ends = np.append(starts[1:], t.size)
     return {
@@ -2032,6 +2080,11 @@ class _ExecutionData:
         #: Batch-wide columnar locals (set by the batched executor; its
         #: presence routes write-back through the scatter path).
         self.batch_locals: GroupLocals | None = None
+        #: (batch positions, lane-sorted op matrix, per-lane op counts)
+        #: per twin group, fallback lanes excluded (batched executor).
+        self.op_groups: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        #: Op count per batch position (set by the collector).
+        self.op_counts = np.empty(0, dtype=np.int64)
         self.read_keys = np.empty(0, dtype=np.int64)
         self.write_keys = np.empty(0, dtype=np.int64)
         # The *_arr views start empty so the columnar collector can set

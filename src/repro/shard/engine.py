@@ -49,6 +49,7 @@ slice like any other access.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 
 import numpy as np
@@ -201,8 +202,9 @@ class ShardedEngine:
         # Statuses live on the transaction objects, so the result lists
         # rebuild in *admission* order — schedulers composing retries
         # across batches see exactly the reference engine's sequences.
-        return BatchResult(
-            stats=stats,
+        # The serial-order witness carries over unevaluated.
+        return dataclasses.replace(
+            result,
             committed=[
                 t for t in transactions if t.status is TxnStatus.COMMITTED
             ],
@@ -210,7 +212,6 @@ class ShardedEngine:
             logic_aborted=[
                 t for t in transactions if t.status is TxnStatus.LOGIC_ABORTED
             ],
-            _witness_sets=result._witness_sets,
         )
 
     # -- drains (must route through this run_batch) ---------------------------

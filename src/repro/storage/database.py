@@ -103,5 +103,6 @@ class Database:
         h = hashlib.sha256()
         for table in self._tables:
             h.update(table.name.encode())
-            h.update(table.state_signature())
+            for part in table.signature_parts():
+                h.update(part)
         return h.hexdigest()

@@ -9,6 +9,8 @@ never reused, so a slot is a stable item identity for conflict logging.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
 from repro.errors import DuplicateKey, StorageError
@@ -325,11 +327,18 @@ class Table:
         key), for equality checks in determinism and serializability
         tests.  Canonical ordering matters: two logically identical
         states may have inserted rows in different physical slots."""
+        return b"".join(part.tobytes() for part in self.signature_parts())
+
+    def signature_parts(self) -> Iterator[np.ndarray]:
+        """The arrays whose bytes, in order, make up
+        :meth:`state_signature`: keys, then each column by name, all in
+        key order.  Hashing them one at a time never holds more than one
+        reordered column, where the joined signature holds two copies of
+        the whole table."""
         if self._resident_view is not None:
             self._resident_view.fence()
         keys = self._keys[: self._num_rows]
         order = np.argsort(keys, kind="stable")
-        parts = [keys[order].tobytes()]
+        yield keys[order]
         for name in sorted(self._columns):
-            parts.append(self._columns[name][: self._num_rows][order].tobytes())
-        return b"".join(parts)
+            yield self._columns[name][: self._num_rows][order]

@@ -129,6 +129,9 @@ _KEY_COLUMN_ID = intern_column(KEY_COLUMN)
 #: Fields per op row in :class:`OpColumns` (kind, table, row, col, value, key).
 OP_FIELDS = 6
 
+# The matrix slot of every op buffer that is not a lazy window.
+_NO_MATRIX = np.empty((0, OP_FIELDS), dtype=np.int64)
+
 
 class OpColumns:
     """A growable columnar buffer of operations.
@@ -140,20 +143,44 @@ class OpColumns:
     materialized per access (one memcpy of the buffer), so there is no
     cache to invalidate.  Sequence access (``len``/indexing/iteration)
     yields :class:`OpRecord` views for object-oriented consumers.
+
+    A buffer made by :meth:`window` starts as a lazy view of rows of a
+    shared op matrix; its bytes are copied into the append buffer the
+    first time anything reads them (``len`` and truthiness excepted).
     """
 
-    __slots__ = ("_buf",)
+    # A window keeps its matrix and row bounds in slots of its own (no
+    # tuple, no empty buffer): a batch holds one per twin lane.
+    __slots__ = ("_buf", "_mat", "_start", "_stop")
 
     def __init__(self) -> None:
-        self._buf = array("q")
+        #: ``None`` while the ops are an unread window onto ``_mat``
+        self._buf: array | None = array("q")
+        self._mat = _NO_MATRIX
+        self._start = self._stop = 0
 
     @classmethod
-    def from_flat(cls, raw: bytes) -> "OpColumns":
-        """Wrap a row-major int64 byte string of 6-field op rows (the
-        batched executor's per-transaction slice) — one memcpy."""
-        ops = cls()
-        ops._buf.frombytes(raw)
+    def window(cls, mat: np.ndarray, start: int, stop: int) -> "OpColumns":
+        """A lazy view of rows ``start:stop`` of an ``(n, OP_FIELDS)``
+        int64 op matrix (a batched twin lane's slice of its group's
+        matrix).  Costs one object until read; ``mat`` must never be
+        mutated afterwards."""
+        ops = cls.__new__(cls)
+        ops._buf = None
+        ops._mat = mat
+        ops._start = start
+        ops._stop = stop
         return ops
+
+    def _materialize(self) -> array:
+        """Copy a lazy window's rows into a buffer of its own (once)."""
+        buf = self._buf = array("q", self._mat[self._start : self._stop].tobytes())
+        self._mat = _NO_MATRIX
+        return buf
+
+    def _flat(self) -> array:
+        buf = self._buf
+        return self._materialize() if buf is None else buf
 
     # -- recording --------------------------------------------------------
     def append_op(
@@ -165,19 +192,19 @@ class OpColumns:
         value: int,
         key: int = 0,
     ) -> None:
-        self._buf.extend((kind, table_id, row, col_id, value, key))
+        self._flat().extend((kind, table_id, row, col_id, value, key))
 
     @property
     def buffer(self) -> array:
         """The flat int64 row-major buffer (engine fast path — bulk
         concatenation across transactions is one memcpy each; do not
         mutate)."""
-        return self._buf
+        return self._flat()
 
     @property
     def raw(self) -> list[tuple[int, int, int, int, int, int]]:
         """The ops as fixed-width tuple rows (copies; test helper)."""
-        b = self._buf
+        b = self._flat()
         return [tuple(b[i : i + OP_FIELDS]) for i in range(0, len(b), OP_FIELDS)]
 
     # -- columnar views ---------------------------------------------------
@@ -185,8 +212,9 @@ class OpColumns:
     def matrix(self) -> np.ndarray:
         """All ops as an ``(n, OP_FIELDS)`` int64 matrix (copies out of
         the append buffer, so later appends never race a live view)."""
-        n = len(self._buf) // OP_FIELDS
-        return np.frombuffer(self._buf.tobytes(), dtype=np.int64).reshape(
+        buf = self._flat()
+        n = len(buf) // OP_FIELDS
+        return np.frombuffer(buf.tobytes(), dtype=np.int64).reshape(
             n, OP_FIELDS
         )
 
@@ -218,16 +246,19 @@ class OpColumns:
     # -- OpRecord compatibility ------------------------------------------
     def _record(self, index: int) -> OpRecord:
         base = index * OP_FIELDS
-        kind, table_id, r, col_id, value, key = self._buf[base : base + OP_FIELDS]
+        kind, table_id, r, col_id, value, key = self._flat()[base : base + OP_FIELDS]
         return OpRecord(
             OpKind(kind), table_id, r, _COLUMN_NAMES[col_id], value, key=key
         )
 
     def __len__(self) -> int:
-        return len(self._buf) // OP_FIELDS
+        buf = self._buf
+        if buf is None:
+            return self._stop - self._start
+        return len(buf) // OP_FIELDS
 
     def __bool__(self) -> bool:
-        return bool(self._buf)
+        return len(self) > 0
 
     def __iter__(self) -> Iterator[OpRecord]:
         return map(self._record, range(len(self)))

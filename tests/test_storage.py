@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -194,6 +196,19 @@ class TestDatabase:
         d1 = db.state_digest()
         t.write(0, "a", 2)
         assert db.state_digest() != d1
+
+    def test_digest_hashes_the_state_signatures(self):
+        db = Database()
+        x = db.create_table(make_schema("x", "id", "a", "b"))
+        y = db.create_table(make_schema("y", "id", "c"))
+        for key in (5, 2, 9):
+            x.insert(key, {"a": key * 3, "b": -key})
+        y.insert(7, {"c": 1})
+        h = hashlib.sha256()
+        for table in (x, y):
+            h.update(table.name.encode())
+            h.update(table.state_signature())
+        assert db.state_digest() == h.hexdigest()
 
     def test_copy_independent(self):
         db = Database()
