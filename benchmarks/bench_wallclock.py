@@ -1,4 +1,4 @@
-"""Host wall-clock: columnar vs reference op path, per phase.
+"""Host wall-clock: batched vs columnar vs reference op path, per phase.
 
 As a pytest benchmark this runs the scaled-down sweep like every other
 harness.  Run directly — ``python benchmarks/bench_wallclock.py`` — it
@@ -57,30 +57,6 @@ def main() -> int:
         print(
             f"batched execute speedup over columnar at batch {headline}: "
             f"{result.batched_speedup(headline):.2f}x (acceptance floor: 3x)"
-        )
-    if headline in result.seconds.get("parallel", {}):
-        cores = os.cpu_count() or 1
-        floor = (
-            "acceptance floor: 1.5x"
-            if cores >= 4
-            else f"floor not enforced: host has {cores} core(s)"
-        )
-        print(
-            f"parallel execute speedup over batched at batch {headline} "
-            f"({result.meta.get('parallel_workers')} workers): "
-            f"{result.parallel_speedup(headline):.2f}x ({floor})"
-        )
-    if headline in result.seconds.get("sharded", {}):
-        cores = os.cpu_count() or 1
-        floor = (
-            "acceptance floor: 1.5x"
-            if cores >= 4
-            else f"floor not enforced: host has {cores} core(s)"
-        )
-        print(
-            f"sharded execute+conflict+writeback speedup over batched at "
-            f"batch {headline} ({result.meta.get('shards')} shards): "
-            f"{result.sharded_speedup(headline):.2f}x ({floor})"
         )
     print(f"wrote {out}")
     return 0

@@ -21,8 +21,8 @@ Opt-in from pytest via the ``perf`` marker: ``pytest -m perf``.
 batched path is measured through the named ``repro.xp`` backend
 (informational) and one batch's transfer ledger is checked for
 contract violations (zero implicit host round-trips inside kernel
-phases, zero float upcasts — this part gates).  Backends that are not
-constructible on this host auto-skip; ``--quick`` drops the
+phases, zero float upcasts — this part gates).  Without ``--backend``
+that gate skips; ``--quick`` drops the
 machine-dependent wall-clock gates and runs only the backend gate,
 which is what CI uses (``--quick --backend mockgpu``).
 """
@@ -57,26 +57,6 @@ BATCHED_FLOOR = 1.5
 #: round to round), so the gate takes more samples rather than a wider
 #: allowed factor — the limit stays equally strict on the true cost.
 DEFAULT_ROUNDS = 8
-
-#: Worker count and speedup floor for the process-parallel execute gate:
-#: at the headline batch, 4 workers must beat the in-process batched
-#: path by 1.5x on the execute phase.  Hosts with fewer than
-#: PARALLEL_MIN_CORES cores cannot meaningfully run 4 workers, so the
-#: gate auto-skips there (exit 0 with a message) instead of failing on
-#: honest scheduling contention.
-PARALLEL_WORKERS = 4
-PARALLEL_FLOOR = 1.5
-PARALLEL_MIN_CORES = 4
-
-#: Shard count and speedup floor for the multi-shard gate: at the
-#: headline batch, 4 shards driving 4 process workers must beat the
-#: in-process batched path by 1.5x on the detection pipeline
-#: (execute+conflict+writeback).  Same auto-skip as the parallel gate:
-#: below PARALLEL_MIN_CORES cores the measurement would only time the
-#: OS scheduler, so the gate skips (exit 0) with the reason recorded.
-SHARDED_SHARDS = 4
-SHARDED_FLOOR = 1.5
-
 
 def check(
     baseline_path: str,
@@ -155,109 +135,6 @@ def check_batched(rounds: int = DEFAULT_ROUNDS, floor: float = BATCHED_FLOOR) ->
     return 0
 
 
-def check_parallel(
-    rounds: int = DEFAULT_ROUNDS,
-    floor: float = PARALLEL_FLOOR,
-    workers: int = PARALLEL_WORKERS,
-) -> int:
-    """Gate the process-parallel executor: at the headline batch,
-    ``workers`` workers must beat the in-process batched path by at
-    least ``floor`` on the execute phase.
-
-    Like the batched gate this is a ratio of two fresh local
-    measurements.  On hosts without enough cores to actually run the
-    workers side by side the gate skips (exit 0): a 1-core container
-    would only be measuring the OS scheduler.
-    """
-    cores = os.cpu_count() or 1
-    if cores < PARALLEL_MIN_CORES:
-        print(
-            f"parallel gate skipped: host has {cores} core(s), "
-            f"need >= {PARALLEL_MIN_CORES} to run {workers} workers "
-            "side by side"
-        )
-        return 0
-    from repro.bench import wallclock
-
-    batched = wallclock.measure_path(
-        columnar=True, batch_size=BATCHED_GATE_BATCH, scale=1.0, rounds=rounds,
-        batched=True,
-    )
-    parallel = wallclock.measure_path(
-        columnar=True, batch_size=BATCHED_GATE_BATCH, scale=1.0, rounds=rounds,
-        batched=True, parallel=workers,
-    )
-    ratio = batched["execute"] / max(parallel["execute"], 1e-12)
-    status = "OK" if ratio >= floor else "FAIL"
-    print(
-        f"parallel execute @ batch {BATCHED_GATE_BATCH} ({workers} workers): "
-        f"batched {batched['execute'] * 1e3:.1f} ms, parallel "
-        f"{parallel['execute'] * 1e3:.1f} ms, speedup {ratio:.2f}x "
-        f"(floor {floor:.2f}x) -> {status}"
-    )
-    if status == "FAIL":
-        print(
-            f"{workers} parallel workers no longer beat the in-process "
-            f"batched path by the required {floor:.2f}x on execute"
-        )
-        return 1
-    return 0
-
-
-def check_sharded(
-    rounds: int = DEFAULT_ROUNDS,
-    floor: float = SHARDED_FLOOR,
-    shards: int = SHARDED_SHARDS,
-) -> int:
-    """Gate the multi-shard engine: at the headline batch, ``shards``
-    shards driving ``shards`` process workers must beat the in-process
-    batched path by at least ``floor`` on the detection pipeline
-    (execute+conflict+writeback — the phases the shard split
-    parallelizes; the router's sequencer cost is reported alongside).
-
-    Same skip rule as the parallel gate: below PARALLEL_MIN_CORES cores
-    the ratio would only measure scheduler contention, so the gate
-    records the reason and exits 0.
-    """
-    cores = os.cpu_count() or 1
-    if cores < PARALLEL_MIN_CORES:
-        print(
-            f"sharded gate skipped: host has {cores} core(s), "
-            f"need >= {PARALLEL_MIN_CORES} to run {shards} shard workers "
-            "side by side"
-        )
-        return 0
-    from repro.bench import wallclock
-
-    batched = wallclock.measure_path(
-        columnar=True, batch_size=BATCHED_GATE_BATCH, scale=1.0, rounds=rounds,
-        batched=True,
-    )
-    sharded = wallclock.measure_path(
-        columnar=True, batch_size=BATCHED_GATE_BATCH, scale=1.0, rounds=rounds,
-        batched=True, parallel=shards, shards=shards,
-    )
-    pipeline = ("execute", "conflict", "writeback")
-    bat = sum(batched[p] for p in pipeline)
-    sha = sum(sharded[p] for p in pipeline)
-    ratio = bat / max(sha, 1e-12)
-    status = "OK" if ratio >= floor else "FAIL"
-    print(
-        f"sharded execute+conflict+writeback @ batch {BATCHED_GATE_BATCH} "
-        f"({shards} shards, {shards} workers): batched {bat * 1e3:.1f} ms, "
-        f"sharded {sha * 1e3:.1f} ms (+ sequencer "
-        f"{sharded['sequencer'] * 1e3:.2f} ms), speedup {ratio:.2f}x "
-        f"(floor {floor:.2f}x) -> {status}"
-    )
-    if status == "FAIL":
-        print(
-            f"{shards} shards no longer beat the in-process batched path "
-            f"by the required {floor:.2f}x on execute+conflict+writeback"
-        )
-        return 1
-    return 0
-
-
 def check_backend(backend: str | None, rounds: int = DEFAULT_ROUNDS) -> int:
     """Gate the array-backend path: measure the batched sweep through
     the ``repro.xp`` backend (informational — mockgpu pays bookkeeping
@@ -266,29 +143,24 @@ def check_backend(backend: str | None, rounds: int = DEFAULT_ROUNDS) -> int:
     zero implicit host round-trips inside kernel phases, zero float
     upcasts).
 
-    ``backend=None``/``"auto"`` picks the first constructible device
-    backend and skips (exit 0) when none is installed; a named backend
-    that is not constructible here also skips.
+    ``backend=None`` skips (exit 0): there is no device backend to
+    default to, so the contract leg runs only when a backend is named
+    (CI passes ``--backend mockgpu``).  An unknown name also skips.
     """
     import dataclasses
 
     from repro.bench import wallclock
     from repro.bench.common import ltpg_config, tpcc_bench
-    from repro.xp import available_backends
+    from repro.xp import BACKEND_NAMES
 
-    avail = available_backends()
-    if backend in (None, "auto"):
-        device = [n for n in avail if n not in ("numpy", "mockgpu")]
-        if not device:
-            print(
-                "backend gate skipped: no device backend (cupy/torch) "
-                "constructible here; use --backend mockgpu to run the "
-                "contract checker"
-            )
-            return 0
-        backend = device[0]
-    if backend not in avail:
-        print(f"backend gate skipped: backend {backend!r} not constructible here")
+    if backend is None:
+        print(
+            "backend gate skipped: no backend named; use --backend "
+            "mockgpu to run the contract checker"
+        )
+        return 0
+    if backend not in BACKEND_NAMES:
+        print(f"backend gate skipped: unknown backend {backend!r}")
         return 0
 
     reference = wallclock.measure_path(
@@ -313,13 +185,10 @@ def check_backend(backend: str | None, rounds: int = DEFAULT_ROUNDS) -> int:
         columnar_ops=True, batched_exec=True, array_backend=backend,
     )
     engine = bench.engine(config)
-    try:
-        engine.run_batch(bench.generator.make_batch(bench.batch_size))
-        resolved = engine._ensure_backend()
-        ledger = resolved.transfer_stats()
-        upcasts = list(getattr(resolved, "upcasts", ()))
-    finally:
-        engine.close()
+    engine.run_batch(bench.generator.make_batch(bench.batch_size))
+    resolved = engine._ensure_backend()
+    ledger = resolved.transfer_stats()
+    upcasts = list(getattr(resolved, "upcasts", ()))
     print(
         f"transfer ledger: {ledger.h2d_bytes} B h2d / {ledger.d2h_bytes} B d2h "
         f"in {ledger.count} transfers, {ledger.dispatches} dispatches, "
@@ -405,15 +274,12 @@ def _steady_transfers(
         engine = bench.engine(config)
         generator = bench.generator
         database = bench.database
-    try:
-        for _ in range(batches):
-            engine.run_batch(generator.make_batch(batch_size))
-        transfers = engine.last_transfers
-        if engine._residency is not None:
-            engine._residency.sync_all_to_host()
-        digest = database.state_digest()
-    finally:
-        engine.close()
+    for _ in range(batches):
+        engine.run_batch(generator.make_batch(batch_size))
+    transfers = engine.last_transfers
+    if engine._residency is not None:
+        engine._residency.sync_all_to_host()
+    digest = database.state_digest()
     return transfers, digest
 
 
@@ -434,12 +300,10 @@ def check_transfer_ceiling(
     five-transaction mix, batch 2^14) and holds the total H2D+D2H
     reduction to >= {ratio}x.
     """.format(ratio=TRANSFER_FULL_RATIO)
-    from repro.xp import available_backends
+    from repro.xp import BACKEND_NAMES
 
     backend = backend or "mockgpu"
-    if backend == "auto":
-        backend = "mockgpu"
-    if backend not in available_backends() or backend == "numpy":
+    if backend not in BACKEND_NAMES or backend == "numpy":
         print(f"transfer-ceiling gate skipped: backend {backend!r} has no ledger")
         return 0
 
@@ -604,31 +468,9 @@ def main(argv: list[str] | None = None) -> int:
         help="only run the columnar regression gate",
     )
     parser.add_argument(
-        "--parallel-floor", type=float, default=PARALLEL_FLOOR,
-        help=f"{PARALLEL_WORKERS} workers must beat the batched path on "
-        f"execute by this factor at batch {BATCHED_GATE_BATCH} "
-        f"(default {PARALLEL_FLOOR}; auto-skips below "
-        f"{PARALLEL_MIN_CORES} cores)",
-    )
-    parser.add_argument(
-        "--skip-parallel", action="store_true",
-        help="skip the process-parallel speedup gate",
-    )
-    parser.add_argument(
-        "--sharded-floor", type=float, default=SHARDED_FLOOR,
-        help=f"{SHARDED_SHARDS} shards ({SHARDED_SHARDS} workers) must "
-        "beat the batched path on execute+conflict+writeback by this "
-        f"factor at batch {BATCHED_GATE_BATCH} (default {SHARDED_FLOOR}; "
-        f"auto-skips below {PARALLEL_MIN_CORES} cores)",
-    )
-    parser.add_argument(
-        "--skip-sharded", action="store_true",
-        help="skip the multi-shard speedup gate",
-    )
-    parser.add_argument(
         "--backend", default=None,
         help="repro.xp backend for the array-backend gate (default: "
-        "first constructible device backend, skipping when none is)",
+        "none, which skips the gate; CI uses mockgpu)",
     )
     parser.add_argument(
         "--skip-backend", action="store_true",
@@ -674,10 +516,6 @@ def main(argv: list[str] | None = None) -> int:
         rc = check(args.baseline, args.allowed_factor, args.rounds)
         if rc == 0 and not args.skip_batched:
             rc = check_batched(args.rounds, args.batched_floor)
-        if rc == 0 and not args.skip_parallel:
-            rc = check_parallel(args.rounds, args.parallel_floor)
-        if rc == 0 and not args.skip_sharded:
-            rc = check_sharded(args.rounds, args.sharded_floor)
     if rc == 0 and not args.skip_backend:
         rc = check_backend(args.backend, 2 if args.quick else args.rounds)
     if rc == 0 and (args.transfer_ceiling or args.transfer_ceiling_full):

@@ -39,16 +39,13 @@ def measure(device_resident: bool, backend: str) -> dict:
         device_resident=device_resident,
     )
     engine = bench.engine(config)
-    try:
-        per_batch = []
-        for _ in range(BATCHES):
-            engine.run_batch(bench.generator.make_batch(BATCH_SIZE))
-            per_batch.append(engine.last_phase_transfers)
-        if engine._residency is not None:
-            engine._residency.sync_all_to_host()
-        digest = bench.database.state_digest()
-    finally:
-        engine.close()
+    per_batch = []
+    for _ in range(BATCHES):
+        engine.run_batch(bench.generator.make_batch(BATCH_SIZE))
+        per_batch.append(engine.last_phase_transfers)
+    if engine._residency is not None:
+        engine._residency.sync_all_to_host()
+    digest = bench.database.state_digest()
     return {
         "device_resident": device_resident,
         "phase_deltas_per_batch": per_batch,
@@ -63,9 +60,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--backend", default="mockgpu")
     args = parser.parse_args(argv)
 
-    from repro.xp import available_backends
+    from repro.xp import BACKEND_NAMES
 
-    if args.backend not in available_backends() or args.backend == "numpy":
+    if args.backend not in BACKEND_NAMES or args.backend == "numpy":
         print(f"skipped: backend {args.backend!r} has no transfer ledger")
         return 0
     doc = {

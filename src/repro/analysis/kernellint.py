@@ -1,10 +1,10 @@
 """Kernel-lint: static analysis of the vectorized ``BatchProcedure`` twins.
 
 The batched hot path runs twins over a pluggable
-:class:`~repro.xp.ArrayBackend` and ships them pickled into parallel
-workers; mockgpu catches contract violations *at runtime* on the inputs
-we happen to execute, while this pass catches them *statically* on every
-code path.  Four analyses over every registered twin:
+:class:`~repro.xp.ArrayBackend`; mockgpu catches contract violations
+*at runtime* on the inputs we happen to execute, while this pass
+catches them *statically* on every code path.  Four analyses over every
+registered twin:
 
 1. **Backend-contract lint** (``KL1xx``) — operations that escape the
    ``ArrayBackend`` protocol: implicit scalar conversions (``int()``,
@@ -23,10 +23,9 @@ code path.  Four analyses over every registered twin:
    and the scalar-pass bans (``random``, wall clock) detlint already
    knows.
 
-3. **Pickle-safety lint** (``KL3xx``) — every twin the parallel executor
-   dispatches must be a module-level callable with no closure-captured
-   state, so ``parallel_workers`` failures surface as lint findings
-   instead of opaque worker crashes.
+3. **Pickle-safety lint** (``KL3xx``) — every twin must be a
+   module-level callable with no closure-captured state, so it pickles
+   by qualified name and carries no hidden per-registration state.
 
 4. **Twin-drift audit** (``KL4xx``) — the static read/write footprint
    (tables, columns, op kinds) of each scalar procedure diffed against
@@ -826,7 +825,7 @@ def _banned_source_findings(unit: SourceUnit) -> list[Finding]:
 # -- pickle-safety lint -------------------------------------------------------
 
 def lint_pickle_safety(proc_name: str, twin_obj: Any) -> list[Finding]:
-    """Verify a registered twin can ship to spawn-started workers."""
+    """Verify a registered twin pickles by qualified name."""
     findings: list[Finding] = []
     subject = f"{proc_name}[batched]"
     fn = unwrap_twin(twin_obj)
@@ -844,9 +843,8 @@ def lint_pickle_safety(proc_name: str, twin_obj: Any) -> list[Finding]:
                 Finding(
                     KERNELLINT, RULES["KL302"], subject,
                     f"twin {fn.__qualname__!r} is not a module-level "
-                    "callable: spawn-started workers import twins by "
-                    "module attribute, so lambdas/local defs crash the "
-                    "pool at dispatch",
+                    "callable: pickling resolves twins by module "
+                    "attribute, so lambdas/local defs cannot pickle",
                     code="KL302", file=file, span=span,
                 )
             )
@@ -880,8 +878,7 @@ def lint_pickle_safety(proc_name: str, twin_obj: Any) -> list[Finding]:
             findings.append(
                 Finding(
                     KERNELLINT, RULES["KL303"], subject,
-                    f"twin does not pickle ({exc!r}): the parallel "
-                    "executor cannot dispatch it to worker processes",
+                    f"twin does not pickle ({exc!r})",
                     code="KL303", file=file, span=span,
                 )
             )

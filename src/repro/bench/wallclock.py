@@ -11,10 +11,7 @@ reports per-batch seconds for all three paths, plus two speedup series
 recorded in ``BENCH_wallclock.json`` (see docs/ARCHITECTURE.md for how
 to read it): reference/columnar on execute+conflict (the PR 1 headline)
 and columnar/batched on execute and total (the batched-executor
-headline).  A ``sharded`` column (N shards driving N process workers
-through the multi-shard engine) and a per-shard balance ledger ride
-along; the ``sequencer`` entry in that column is the host cost of the
-deterministic router.
+headline).
 
 Methodology: per (batch size, path) a fresh benchmark database is built
 from the same seed, one warm-up batch is run, then ``rounds`` measured
@@ -48,6 +45,15 @@ PHASES: tuple[str, ...] = ("execute", "conflict", "writeback", "assemble")
 #: The acceptance batch size (2^14, the paper's headline batch).
 HEADLINE_BATCH = 16_384
 
+#: The series :func:`run` sweeps when no backend column is requested,
+#: as ``(name, columnar_ops, batched_exec)``; the names are exactly the
+#: keys of ``seconds_per_batch`` in ``BENCH_wallclock.json``.
+SWEEP_PATHS: tuple[tuple[str, bool, bool], ...] = (
+    ("batched", True, True),
+    ("columnar", True, False),
+    ("reference", False, False),
+)
+
 
 @dataclass
 class WallclockResult:
@@ -67,18 +73,10 @@ class WallclockResult:
     transfers: dict[str, dict[int, dict[str, dict[str, int]]]] = field(
         default_factory=dict
     )
-    #: multi-shard extras: shard count, per-table balance ledger
-    #: (rows by owning shard), and the ``shard`` metrics block from a
-    #: short traced sharded run at the headline batch
-    sharded: dict = field(default_factory=dict)
 
     def exec_conflict(self, path: str, batch: int) -> float:
         phases = self.seconds[path][batch]
         return phases["execute"] + phases["conflict"]
-
-    def exec_conflict_writeback(self, path: str, batch: int) -> float:
-        phases = self.seconds[path][batch]
-        return phases["execute"] + phases["conflict"] + phases["writeback"]
 
     def speedup(self, batch: int) -> float:
         """Reference / columnar on the execute+conflict phases."""
@@ -92,28 +90,12 @@ class WallclockResult:
             self.seconds["batched"][batch][phase], 1e-12
         )
 
-    def parallel_speedup(self, batch: int, phase: str = "execute") -> float:
-        """Batched (in-process) / parallel on one phase (or ``total``)."""
-        return self.seconds["batched"][batch][phase] / max(
-            self.seconds["parallel"][batch][phase], 1e-12
-        )
-
-    def sharded_speedup(self, batch: int) -> float:
-        """Batched (in-process, unsharded) / sharded on the detection
-        pipeline (execute+conflict+writeback) — the ``--sharded-floor``
-        gate's ratio."""
-        return self.exec_conflict_writeback("batched", batch) / max(
-            self.exec_conflict_writeback("sharded", batch), 1e-12
-        )
-
     def backend_paths(self) -> list[str]:
         """The optional per-backend columns (``batched[<backend>]``)."""
         return sorted(p for p in self.seconds if p.startswith("batched["))
 
     def format(self) -> str:
         have_batched = "batched" in self.seconds
-        have_parallel = "parallel" in self.seconds
-        have_sharded = "sharded" in self.seconds
         backends = self.backend_paths()
         headers = [
             "batch size",
@@ -123,10 +105,6 @@ class WallclockResult:
         ]
         if have_batched:
             headers += ["batched exec (s)", "batched speedup (exec)"]
-        if have_parallel:
-            headers += ["parallel exec (s)", "parallel speedup (exec)"]
-        if have_sharded and have_batched:
-            headers += ["sharded e+c+w (s)", "sharded speedup (e+c+w)"]
         headers += [f"{p} exec (s)" for p in backends]
         rows = []
         for b in sorted(self.seconds.get("columnar", {})):
@@ -141,47 +119,17 @@ class WallclockResult:
                     self.seconds["batched"][b]["execute"],
                     f"{self.batched_speedup(b):.2f}x",
                 ]
-            if have_parallel:
-                row += [
-                    self.seconds["parallel"][b]["execute"],
-                    f"{self.parallel_speedup(b):.2f}x",
-                ]
-            if have_sharded and have_batched:
-                row += [
-                    self.exec_conflict_writeback("sharded", b),
-                    f"{self.sharded_speedup(b):.2f}x",
-                ]
             row += [self.seconds[p][b]["execute"] for p in backends]
             rows.append(row)
         table = format_table(
-            "Host wall-clock per batch: parallel vs batched vs columnar "
-            "vs reference op path (TPC-C 50/50)",
+            "Host wall-clock per batch: batched vs columnar vs reference "
+            "op path (TPC-C 50/50)",
             headers,
             rows,
             note="speedup = reference / columnar on execute+conflict; "
             "batched speedup = columnar / batched on execute; "
-            "parallel speedup = batched / parallel on execute; "
-            "sharded speedup = batched / sharded on "
-            "execute+conflict+writeback; "
             "simulated-time results are identical by construction.",
         )
-        if self.sharded:
-            sheaders = ["table", "rows by owning shard"]
-            srows = [
-                [name, " / ".join(str(c) for c in counts)]
-                for name, counts in sorted(
-                    self.sharded.get("balance_ledger", {}).items()
-                )
-            ]
-            table += "\n\n" + format_table(
-                f"Per-shard balance ledger "
-                f"({self.sharded.get('shards')} shards, headline database)",
-                sheaders,
-                srows,
-                note="live rows per table by owning shard under the "
-                "workload's partition map; counter-keyed tables use the "
-                "default mod rule.",
-            )
         if self.transfers:
             xheaders = ["path", "batch size", "H2D (MB/batch)", "D2H (MB/batch)"]
             xrows = []
@@ -226,24 +174,6 @@ class WallclockResult:
                 for b in sorted(self.seconds.get("columnar", {}))
                 if b in self.seconds.get("batched", {})
             },
-            "speedup_parallel": {
-                str(b): {
-                    "execute": round(self.parallel_speedup(b, "execute"), 3),
-                    "total": round(self.parallel_speedup(b, "total"), 3),
-                }
-                for b in sorted(self.seconds.get("batched", {}))
-                if b in self.seconds.get("parallel", {})
-            },
-            "speedup_sharded": {
-                str(b): {
-                    "execute_conflict_writeback": round(
-                        self.sharded_speedup(b), 3
-                    ),
-                }
-                for b in sorted(self.seconds.get("batched", {}))
-                if b in self.seconds.get("sharded", {})
-            },
-            "sharded": self.sharded,
             "metrics": self.metrics,
             "transfers_per_batch": {
                 path: {str(b): phases for b, phases in by_batch.items()}
@@ -266,25 +196,18 @@ def measure_path(
     neworder_pct: int = 50,
     seed: int = 7,
     batched: bool = False,
-    parallel: int = 0,
     backend: str = "numpy",
     device_resident: bool = False,
     transfers_out: dict | None = None,
-    shards: int = 0,
 ) -> dict[str, float]:
     """Min-of-rounds per-phase host seconds for one op path.
 
     Builds a fresh database (all paths see byte-identical transaction
-    streams for a given seed) and discards one warm-up batch.  A
-    ``parallel`` worker count > 0 measures the process-parallel sharded
-    execute (implies the batched path); the warm-up batch also absorbs
-    the pool start-up and snapshot export.  ``backend`` selects the
-    ``repro.xp`` array backend (non-numpy backends require the batched
-    path; the warm-up batch also absorbs any device initialization) and
-    ``device_resident`` pins table columns device-side across batches.
-    ``shards`` > 1 routes the batch through the multi-shard engine
-    (implies the batched path; an extra ``sequencer`` entry reports the
-    deterministic router's host cost and counts toward ``total``).
+    streams for a given seed) and discards one warm-up batch.
+    ``backend`` selects the ``repro.xp`` array backend (non-numpy
+    backends require the batched path; the warm-up batch also absorbs
+    any device initialization) and ``device_resident`` pins table
+    columns device-side across batches.
 
     When ``transfers_out`` is given and the backend has a transfer
     ledger, the final measured batch's per-phase ledger deltas are
@@ -297,33 +220,27 @@ def measure_path(
     )
     config = dataclasses.replace(
         ltpg_config(bench.batch_size),
-        columnar_ops=columnar or batched or parallel > 0 or shards > 1,
-        batched_exec=batched or parallel > 0 or shards > 1,
-        parallel_workers=parallel,
+        columnar_ops=columnar or batched,
+        batched_exec=batched,
         array_backend=backend,
         device_resident=device_resident,
-        shards=shards if shards > 1 else 1,
     )
-    phases = PHASES + ("sequencer",) if shards > 1 else PHASES
     engine = bench.engine(config)
-    try:
-        engine.run_batch(bench.generator.make_batch(bench.batch_size))  # warm-up
-        best: dict[str, float] = {}
-        for _ in range(max(rounds, 1)):
-            engine.run_batch(bench.generator.make_batch(bench.batch_size))
-            for phase in phases:
-                t = engine.last_host_phase_s.get(phase, 0.0)
-                if phase not in best or t < best[phase]:
-                    best[phase] = t
-        if (
-            transfers_out is not None
-            and backend != "numpy"
-            and engine.last_phase_transfers
-        ):
-            transfers_out.update(engine.last_phase_transfers)
-    finally:
-        engine.close()
-    best["total"] = sum(best[p] for p in phases)
+    engine.run_batch(bench.generator.make_batch(bench.batch_size))  # warm-up
+    best: dict[str, float] = {}
+    for _ in range(max(rounds, 1)):
+        engine.run_batch(bench.generator.make_batch(bench.batch_size))
+        for phase in PHASES:
+            t = engine.last_host_phase_s.get(phase, 0.0)
+            if phase not in best or t < best[phase]:
+                best[phase] = t
+    if (
+        transfers_out is not None
+        and backend != "numpy"
+        and engine.last_phase_transfers
+    ):
+        transfers_out.update(engine.last_phase_transfers)
+    best["total"] = sum(best[p] for p in PHASES)
     return best
 
 
@@ -357,54 +274,6 @@ def measure_metrics(
     return run_stats.metrics_summary()
 
 
-def measure_sharded_profile(
-    shards: int,
-    batch_size: int = HEADLINE_BATCH,
-    scale: float = 1.0,
-    batches: int = 2,
-    warehouses: int = 32,
-    neworder_pct: int = 50,
-    seed: int = 7,
-) -> dict:
-    """Multi-shard extras for ``BENCH_wallclock.json``: the per-table
-    balance ledger of the headline database under the workload's
-    partition map, plus the ``shard`` block (multi-home fraction,
-    balance, sequencer stall) of a short traced sharded run.
-
-    Runs serially (no worker pool) — routing statistics and the ledger
-    do not depend on how the shard lanes are executed.
-    """
-    bench = tpcc_bench(
-        warehouses, neworder_pct=neworder_pct, batch_size=batch_size,
-        scale=scale, seed=seed,
-    )
-    config = dataclasses.replace(
-        ltpg_config(bench.batch_size),
-        columnar_ops=True, batched_exec=True, trace=True, shards=shards,
-    )
-    engine = bench.engine(config)
-    run_stats = RunStats()
-    try:
-        for _ in range(max(batches, 1)):
-            batch = bench.generator.make_batch(bench.batch_size)
-            run_stats.add(engine.run_batch(batch).stats)
-        part = getattr(engine, "partition", None)
-        ledger = part.profile() if part is not None else {}
-    finally:
-        engine.close()
-    return {
-        "shards": shards,
-        "balance_ledger": ledger,
-        "metrics": run_stats.metrics_summary().get("shard", {}),
-    }
-
-
-#: Worker count the ``parallel`` sweep path runs with (the acceptance
-#: gate's configuration; ``os.cpu_count()`` decides whether the gate is
-#: enforced, not how the measurement runs).
-PARALLEL_WORKERS = 4
-
-
 def run(
     scale: float = 1.0,
     rounds: int = 2,
@@ -412,16 +281,15 @@ def run(
     warehouses: int = 32,
     neworder_pct: int = 50,
     seed: int = 7,
-    parallel_workers: int = PARALLEL_WORKERS,
     backend: str | None = None,
 ) -> WallclockResult:
     """Sweep all op paths; ``backend`` adds an optional per-backend
     column (a ``batched[<backend>]`` series measured through the
-    ``repro.xp`` shim) when that backend is constructible here."""
-    from repro.xp import available_backends, get_backend
+    ``repro.xp`` shim) for a known non-numpy backend name."""
+    from repro.xp import BACKEND_NAMES, get_backend
 
-    if backend is not None and backend not in available_backends():
-        backend = None  # auto-skip: the device library is absent
+    if backend not in BACKEND_NAMES:
+        backend = None
     result = WallclockResult()
     result.meta = {
         "workload": f"tpcc neworder={neworder_pct}%",
@@ -434,36 +302,27 @@ def run(
         "numpy": np.__version__,
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),
-        "parallel_workers": parallel_workers,
-        # the sharded column runs N shards with N process workers
-        "shards": parallel_workers,
         # active array backend + library version: the per-backend
         # column's backend when one was requested, else the reference
         # every standard path runs on
         "array_backend": get_backend(backend or "numpy").device_info(),
     }
     paths = [
-        ("sharded", True, True, parallel_workers, "numpy", False, parallel_workers),
-        ("parallel", True, True, parallel_workers, "numpy", False, 0),
-        ("batched", True, True, 0, "numpy", False, 0),
-        ("columnar", True, False, 0, "numpy", False, 0),
-        ("reference", False, False, 0, "numpy", False, 0),
+        (name, columnar, batched, "numpy", False)
+        for name, columnar, batched in SWEEP_PATHS
     ]
     if backend is not None and backend != "numpy":
-        paths.insert(0, (f"batched[{backend}]", True, True, 0, backend, False, 0))
-        paths.insert(0, (f"resident[{backend}]", True, True, 0, backend, True, 0))
-    for path, columnar, batched, workers, xp_name, resident, shards in paths:
-        if path in ("parallel", "sharded") and workers <= 1:
-            continue
+        paths.insert(0, (f"batched[{backend}]", True, True, backend, False))
+        paths.insert(0, (f"resident[{backend}]", True, True, backend, True))
+    for path, columnar, batched, xp_name, resident in paths:
         by_batch: dict[int, dict[str, float]] = {}
         for batch in batch_sizes:
             transfers: dict[str, dict[str, int]] = {}
             by_batch[batch] = measure_path(
                 columnar, batch, scale=scale, rounds=rounds,
                 warehouses=warehouses, neworder_pct=neworder_pct, seed=seed,
-                batched=batched, parallel=workers, backend=xp_name,
+                batched=batched, backend=xp_name,
                 device_resident=resident, transfers_out=transfers,
-                shards=shards,
             )
             if transfers:
                 result.transfers.setdefault(path, {})[batch] = transfers
@@ -472,11 +331,6 @@ def run(
         scale=scale, warehouses=warehouses, neworder_pct=neworder_pct,
         seed=seed,
     )
-    if parallel_workers > 1:
-        result.sharded = measure_sharded_profile(
-            parallel_workers, scale=scale, warehouses=warehouses,
-            neworder_pct=neworder_pct, seed=seed,
-        )
     return result
 
 

@@ -181,18 +181,9 @@ class LTPGEngine:
         # (procedure, lanes, ops) per execute group of the last batch,
         # recorded only when tracing/metrics are on (observability).
         self._last_groups: list[tuple[str, int, int]] = []
-        # Worker pool for config.parallel_workers > 0, created lazily on
-        # the first batched execute so procedures registered after
-        # engine construction are picked up.  Owned by this engine:
-        # close() (or the context manager) tears it down.
-        self._pool = None
-        # (worker, lanes, ops) per dispatched shard of the last batch,
-        # plus host seconds spent merging shard results.
-        self._last_shards: list[tuple[int, int, int]] = []
-        self._last_merge_s = 0.0
         # Resolved array backend (repro.xp) for the batched hot path,
         # re-resolved when config.array_backend changes after
-        # construction (mirrors the pool's registry-version check).
+        # construction.
         self._backend = None
         self._backend_name: str | None = None
         # Per-batch transfer-ledger deltas of the last batch (zero on
@@ -205,43 +196,8 @@ class LTPGEngine:
         # lazily per backend by _ensure_residency.
         self._residency = None
         self._residency_key: tuple | None = None
-        # Sharding hooks, installed per batch by repro.shard's
-        # ShardedEngine wrapper and cleared after.  shard_plan maps
-        # batch position -> coordinator shard (the wrapper lays the
-        # batch out shard-major, so each execute group's lanes are
-        # shard-contiguous and worker w runs exactly shard w's lanes);
-        # shard_router partitions write-back cells by row owner;
-        # shard_updaters are the per-shard delayed-update mergers.
-        self.shard_plan = None
-        self.shard_router = None
-        self.shard_updaters = None
-        # shard_order[j] = the admission-order index of batch position j.
-        # The insert install keys its slot assignment on it so appended
-        # rows claim exactly the physical slots the unsharded engine
-        # would assign — slot order feeds the secondary/ordered indexes,
-        # which later batches observe.
-        self.shard_order = None
-        # Config facets the pool was built against; _ensure_pool
-        # rebuilds when a swapped config changes any of them (the
-        # registry version alone missed worker-count swaps and leaked
-        # the old pool's shared-memory segments).
-        self._pool_key: tuple | None = None
 
     # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Release engine-owned process resources (the parallel worker
-        pool and its shared-memory snapshot).  Idempotent; running with
-        ``parallel_workers=0`` makes this a no-op."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-
-    def __enter__(self) -> "LTPGEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
     @property
     def last_transfers(self) -> dict[str, int]:
         """Transfer-ledger deltas of the last batch (empty on numpy)."""
@@ -263,7 +219,7 @@ class LTPGEngine:
         :meth:`Device.reset_clock`), tracer spans, the metrics registry,
         the batch counter (span/stat names embed batch indices), the
         batch log and last-batch observability scratch.  Database state,
-        procedure caches, worker pools and device allocations survive —
+        procedure caches and device allocations survive —
         they model persistent state, not run history.  Back-to-back
         serve runs reset through here must produce bit-identical traces
         (pinned by ``tests/test_trace_observability.py``).
@@ -277,8 +233,6 @@ class LTPGEngine:
         self.batch_log = BatchLog()
         self.last_host_phase_s = {}
         self._last_groups = []
-        self._last_shards = []
-        self._last_merge_s = 0.0
         self._last_transfers = {}
         self._last_phase_transfers = {}
         if self._residency is not None:
@@ -288,53 +242,14 @@ class LTPGEngine:
             # params-only from the first batch of the next run.
             self._residency.sync_all_to_host()
 
-    def _ensure_pool(self):
-        """The lazily-created worker pool, rebuilt if the procedure
-        registry — or any pool-shaping config facet (worker count,
-        start method, delayed columns) — changed since the pool pickled
-        its twins."""
-        delayed = (
-            self.config.delayed_columns
-            if self.config.delayed_update
-            else frozenset()
-        )
-        key = (
-            self.procedures.version,
-            self.config.parallel_workers,
-            self.config.resolved_start_method(),
-            delayed,
-        )
-        if self._pool is not None and self._pool_key != key:
-            self._pool.close()
-            self._pool = None
-        if self._pool is None:
-            from repro.parallel import WorkerPool
-
-            twins = {
-                name: self.procedures.get_batched(name)
-                for name in self.procedures.batched_names()
-            }
-            self._pool = WorkerPool(
-                self.database,
-                twins,
-                num_workers=self.config.parallel_workers,
-                start_method=self.config.resolved_start_method(),
-                delayed_columns=delayed,
-                registry_version=self.procedures.version,
-            )
-            self._pool_key = key
-        return self._pool
-
     def _ensure_backend(self):
         """The resolved array backend, re-resolved when
         ``config.array_backend`` changes after engine construction (the
-        config is frozen, but callers swap whole config objects — the
-        same invalidation contract :meth:`_ensure_pool` honors for the
-        procedure registry)."""
+        config is frozen, but callers swap whole config objects)."""
         name = self.config.array_backend
         if self._backend is not None and self._backend_name == name:
             return self._backend
-        from repro.xp import resolve_backend
+        from repro.xp import get_backend
 
         if self._residency is not None:
             # The resident columns belong to the outgoing backend: fence
@@ -343,16 +258,7 @@ class LTPGEngine:
             self._residency.detach()
             self._residency = None
             self._residency_key = None
-        resolved = name
-        if name == "auto" and (
-            not self.config.batched_exec
-            or self.config.parallel_workers > 0
-            or self.config.sanitize
-        ):
-            # device backends are invalid under these configurations
-            # (explicit names fail ConfigError); auto degrades to host
-            resolved = "numpy"
-        backend = resolve_backend(resolved)
+        backend = get_backend(name)
         self._backend = backend
         self._backend_name = name
         self.conflict_log.set_backend(backend)
@@ -361,8 +267,7 @@ class LTPGEngine:
     def _ensure_residency(self):
         """The device-resident table cache for the current backend, or
         ``None`` when ``config.device_resident`` is off.  Re-keyed on
-        (backend, flag, pinning policy) the same way :meth:`_ensure_pool`
-        re-keys on the registry version — a swapped config object
+        (backend, flag, pinning policy) — a swapped config object
         detaches the old cache (fencing dirty columns through the old
         backend) and builds a fresh one lazily."""
         backend = self._ensure_backend()
@@ -395,6 +300,25 @@ class LTPGEngine:
         batch_index = self._batch_counter
         self._batch_counter += 1
         self.batch_log.append_batch(batch_index, transactions)
+        try:
+            result = self._process_batch(transactions, batch_index)
+        except BaseException:
+            # The batch committed nothing and its log record keeps no
+            # outcome (recovery skips it); drop its conflict-log
+            # registrations so the next batch starts from a clean log.
+            self.conflict_log.end_batch()
+            raise
+        self.batch_log.record_outcome(
+            batch_index,
+            [t.tid for t in result.committed],
+            [t.tid for t in result.aborted],
+        )
+        return result
+
+    def _process_batch(
+        self, transactions: list[Transaction], batch_index: int
+    ) -> BatchResult:
+        """The three phases of one logged, non-empty batch."""
         backend = self._ensure_backend()
         xfer0 = backend.transfer_stats().snapshot()
         device = self.device
@@ -524,11 +448,6 @@ class LTPGEngine:
             exec_span=(exec_entry.start_ns, exec_entry.duration_ns),
         )
         self.conflict_log.end_batch()
-        self.batch_log.record_outcome(
-            batch_index,
-            [t.tid for t in result.committed],
-            [t.tid for t in result.aborted],
-        )
         return result
 
     # ------------------------------------------------------------------
@@ -569,7 +488,6 @@ class LTPGEngine:
         if self.tracer is None and self.metrics is None:
             return
         self._record_group_observability(exec_span)
-        self._record_shard_observability(exec_span)
         log_metrics = self.conflict_log.batch_metrics()
         stats.bucket_load_factor = float(log_metrics["load_factor"])
         stats.bucket_expanded_slots = int(log_metrics["expanded_slots"])
@@ -691,49 +609,6 @@ class LTPGEngine:
             for name, lanes, ops in groups:
                 ops_hist.observe(name, ops)
                 size_hist.observe(name, lanes)
-
-    #: Track carrying per-worker shard spans when the process-parallel
-    #: executor is on (empty track otherwise).
-    SHARD_TRACK = "execute.shards"
-
-    def _record_shard_observability(
-        self, exec_span: tuple[float, float] | None
-    ) -> None:
-        """Per-worker shard spans and counters (parallel execute only).
-
-        Shard spans subdivide the simulated execute window by op count,
-        like the group spans: the simulated cost model charges the same
-        work regardless of which process ran a lane, so the spans stay
-        deterministic.  The one host-clock measurement — shard merge
-        time — goes only to the metrics registry, never the tracer, so
-        traces remain byte-stable run to run.
-        """
-        shards = self._last_shards
-        if not shards:
-            return
-        if self.tracer is not None and exec_span is not None:
-            g_start, g_dur = exec_span
-            total_ops = sum(ops for _, _, ops in shards) or 1
-            cursor = g_start
-            for si, (worker, lanes, ops) in enumerate(shards):
-                end = (
-                    max(cursor, g_start + g_dur)
-                    if si == len(shards) - 1
-                    else cursor + g_dur * ops / total_ops
-                )
-                self.tracer.complete(
-                    f"shard:w{worker}", self.SHARD_TRACK, cursor,
-                    end - cursor, cat="shard",
-                    args={"worker": worker, "lanes": lanes, "ops": ops},
-                )
-                cursor = end
-        if self.metrics is not None:
-            lanes_hist = self.metrics.histogram("execute.shard_lanes")
-            for worker, lanes, _ops in shards:
-                lanes_hist.observe(f"w{worker}", lanes)
-            self.metrics.gauge("execute.merge_ns").set(
-                self._last_merge_s * 1e9
-            )
 
     # ------------------------------------------------------------------
     # Shadow-access recording (``config.sanitize``).  Addresses are
@@ -970,9 +845,6 @@ class LTPGEngine:
         for i, txn in enumerate(transactions):
             txn.reset_for_execution()
             groups.setdefault(txn.procedure_name, []).append(i)
-        if self.config.parallel_workers > 0:
-            self._execute_batched_parallel(transactions, data, groups)
-            return
         delayed_fn = (
             self.delayed.delayed_mask if self.delayed.columns else None
         )
@@ -1024,8 +896,7 @@ class LTPGEngine:
         fallback: np.ndarray,
         aborted: np.ndarray,
     ) -> GroupLocals:
-        """Apply one group's finalized vectorized results — produced
-        in-process or merged back from worker shards — to the
+        """Apply one group's finalized vectorized results to the
         transactions: hand the lane-sorted op matrix to the collector,
         give each lane a lazy window onto it, set statuses, re-run
         fallback lanes through the scalar path."""
@@ -1060,81 +931,6 @@ class LTPGEngine:
                 if lane_ranges:
                     data.ranges_by_tid[txn.tid] = lane_ranges
         return part
-
-    def _execute_batched_parallel(
-        self, transactions, data: "_ExecutionData", groups: dict[str, list[int]]
-    ) -> None:
-        """Shard twin-backed groups across the worker pool
-        (``config.parallel_workers``).
-
-        Workers execute contiguous lane shards against the shared-memory
-        snapshot while the parent runs the twin-less groups; results
-        merge back in lane order, so every array fed to conflict
-        detection is byte-identical to the in-process batched path.
-        Fallback lanes are re-run scalar in the parent, exactly as the
-        in-process path does.
-        """
-        n = len(transactions)
-        pool = self._ensure_pool()
-        plan_groups: list[tuple[str, list[int]]] = []
-        sharded: list[tuple[str, list[tuple]]] = []
-        for name, idxs in groups.items():
-            # resolve up front: unknown procedures must raise before any
-            # dispatch, like the in-process group loop would
-            self._resolve_procedure(name)
-            if self.procedures.get_batched(name) is not None:
-                plan_groups.append((name, idxs))
-                sharded.append(
-                    (name, [transactions[i].params for i in idxs])
-                )
-        splits = None
-        if self.shard_plan is not None:
-            # Shard-major batches split by ownership, not evenly: worker
-            # w gets exactly shard w's lanes of each group (the plan is
-            # nondecreasing within a group, so the counts describe
-            # contiguous runs).
-            splits = [
-                np.bincount(
-                    self.shard_plan[np.asarray(idxs, dtype=np.int64)],
-                    minlength=pool.num_workers,
-                ).tolist()
-                for _name, idxs in plan_groups
-            ]
-        pool.dispatch(sharded, splits=splits)
-        # parent-side work overlaps the workers: twin-less groups run
-        # scalar here while the shards execute
-        scalar_parts: dict[str, GroupLocals] = {}
-        try:
-            for name, idxs in groups.items():
-                if self.procedures.get_batched(name) is None:
-                    scalar_parts[name] = self._execute_scalar_group(
-                        transactions, data, self._resolve_procedure(name), idxs
-                    )
-        except BaseException:
-            # still drain the pipes (or the next dispatch deadlocks),
-            # but never let a pool error mask the scalar one
-            try:
-                pool.collect()
-            except Exception:
-                pass
-            raise
-        merged = pool.collect()
-        parts: list[GroupLocals] = []
-        si = 0
-        for name, idxs in groups.items():
-            if name in scalar_parts:
-                parts.append(scalar_parts[name])
-                continue
-            mat, counts, g_locals, ranges_by_lane, fallback, aborted = merged[si]
-            si += 1
-            parts.append(self._apply_batched_group(
-                transactions, data, self._resolve_procedure(name), idxs,
-                mat, counts, g_locals, ranges_by_lane, fallback, aborted,
-            ))
-        data.batch_locals = GroupLocals.merge(parts, n)
-        if self.tracer is not None or self.metrics is not None:
-            self._last_shards = list(pool.last_shard_stats)
-            self._last_merge_s = pool.last_merge_s
 
     def _fold_scalar_locals(
         self, part: GroupLocals, idx: int, txn, data: "_ExecutionData"
@@ -1613,36 +1409,14 @@ class LTPGEngine:
                 else:
                     target[rows[s:e]] = vals[s:e]
 
-        router = self.shard_router
-        if router is None:
-            scatter(
-                bl.w_table[w_keep], bl.w_row[w_keep], bl.w_col[w_keep],
-                bl.w_val[w_keep], accumulate=False,
-            )
-            scatter(
-                bl.a_table[a_keep], bl.a_row[a_keep], bl.a_col[a_keep],
-                bl.a_val[a_keep], accumulate=True,
-            )
-        else:
-            # Sharded write-back: partition committed cells by row owner
-            # and scatter shard by shard in fixed ascending order.  The
-            # subsets are disjoint (one owner per row), committed writes
-            # are WAW-disjoint and adds commute, so the result is
-            # byte-identical to the single global scatter.
-            for tables, rows, cols, vals, accumulate in (
-                (bl.w_table[w_keep], bl.w_row[w_keep], bl.w_col[w_keep],
-                 bl.w_val[w_keep], False),
-                (bl.a_table[a_keep], bl.a_row[a_keep], bl.a_col[a_keep],
-                 bl.a_val[a_keep], True),
-            ):
-                owners = router.owner_cells(tables, rows)
-                for s in range(router.shards):
-                    m = owners == s
-                    if m.any():
-                        scatter(
-                            tables[m], rows[m], cols[m], vals[m],
-                            accumulate=accumulate,
-                        )
+        scatter(
+            bl.w_table[w_keep], bl.w_row[w_keep], bl.w_col[w_keep],
+            bl.w_val[w_keep], accumulate=False,
+        )
+        scatter(
+            bl.a_table[a_keep], bl.a_row[a_keep], bl.a_col[a_keep],
+            bl.a_val[a_keep], accumulate=True,
+        )
         # Inserts claim slots per table in (transaction, emission) order
         # — the scalar slot assignment — but install in bulk: keys that
         # already exist (or repeat within the committed batch; the
@@ -1650,14 +1424,7 @@ class LTPGEngine:
         # scalar get_row guard) drop out, the survivors take consecutive
         # slots, and the payload columns scatter per emission chunk.
         if bl.i_txn.size:
-            if self.shard_order is not None:
-                # shard-major batches: install in *admission* order, not
-                # batch-position order, so slot assignment (and with it
-                # secondary-index order) matches the unsharded engine
-                txn_rank = self.shard_order[bl.i_txn]
-            else:
-                txn_rank = bl.i_txn
-            order = np.lexsort((bl.i_seq, txn_rank))
+            order = np.lexsort((bl.i_seq, bl.i_txn))
             order = order[commit[bl.i_txn[order]]]
         else:
             order = np.empty(0, dtype=np.int64)
@@ -1706,26 +1473,10 @@ class LTPGEngine:
                     residency.note_appended(table, rows)
         ctx.add_global_writes(cells)
         ctx.add_instructions(_APPLY_INSTRUCTIONS * max(1, cells))
-        if router is None or self.shard_updaters is None:
-            self.delayed.apply_arrays(
-                bl.d_table[d_keep], bl.d_row[d_keep], bl.d_col[d_keep],
-                bl.d_val[d_keep], ctx, xp=xp, residency=residency,
-            )
-        else:
-            # Per-shard delayed-update merge, same disjoint-partition
-            # argument as the scatters above; the cost model even agrees
-            # (deltas sum, and the owner subsets partition the distinct
-            # target cells).
-            d_t, d_r = bl.d_table[d_keep], bl.d_row[d_keep]
-            d_c, d_v = bl.d_col[d_keep], bl.d_val[d_keep]
-            owners = router.owner_cells(d_t, d_r)
-            for s, updater in enumerate(self.shard_updaters):
-                m = owners == s
-                if m.any():
-                    updater.apply_arrays(
-                        d_t[m], d_r[m], d_c[m], d_v[m], ctx,
-                        xp=xp, residency=residency,
-                    )
+        self.delayed.apply_arrays(
+            bl.d_table[d_keep], bl.d_row[d_keep], bl.d_col[d_keep],
+            bl.d_val[d_keep], ctx, xp=xp, residency=residency,
+        )
         if self.memory_plan.mode is MemoryMode.UNIFIED and (
             w_keep.any() or a_keep.any()
         ):

@@ -50,22 +50,11 @@ class BackendError(ReproError):
     unavailable backend names, malformed primitive arguments, ..."""
 
 
-class BackendUnavailable(BackendError):
-    """Raised when a requested array backend's library (CuPy, PyTorch)
-    is not importable, or its device is not usable, in this process."""
-
-
 class BackendContractError(BackendError):
     """Raised by the ``mockgpu`` backend when code inside a kernel phase
     performs an implicit device-to-host round-trip (``tolist``/``int``/
     iteration on a device array) instead of synchronizing explicitly
     through ``xp.to_host``/``xp.item`` at a phase boundary."""
-
-
-class ParallelExecutionError(ReproError):
-    """Raised when the process-parallel execute pool cannot be built or
-    a worker process dies (unpicklable procedure twin, crashed worker,
-    broken pipe, ...)."""
 
 
 class TransactionAborted(TransactionError):

@@ -235,9 +235,9 @@ def simulate_serve(
 ) -> ServeReport:
     """Build one of the named workloads and serve it end to end.
 
-    Accepts every :func:`serve_run` keyword; returns its report.  The
-    engine is closed before returning — pass ``trace=True`` plus a
-    ``trace_out`` path via the CLI to keep a Chrome trace of the run.
+    Accepts every :func:`serve_run` keyword; returns its report.  Pass
+    ``trace=True`` plus a ``trace_out`` path via the CLI to keep a
+    Chrome trace of the run.
     """
     from repro.analysis.workload import build_workload
 
@@ -247,12 +247,7 @@ def simulate_serve(
     if trace or trace_out:
         overrides["trace"] = True
     engine = setup.engine(batch_size=batch_size, **overrides)
-    try:
-        report = serve_run(
-            engine, setup.generator, workload=workload, **run_kwargs
-        )
-        if trace_out and engine.tracer is not None:
-            engine.tracer.write(trace_out)
-    finally:
-        engine.close()
+    report = serve_run(engine, setup.generator, workload=workload, **run_kwargs)
+    if trace_out and engine.tracer is not None:
+        engine.tracer.write(trace_out)
     return report

@@ -46,8 +46,11 @@ def recover(
     log: BatchLog,
     make_engine,
 ) -> tuple[object, RecoveryReport]:
-    """Restore a database from ``snapshot`` and replay every logged
-    batch with index > snapshot.batch_index.
+    """Restore a database from ``snapshot`` and replay every finished
+    batch with index >= snapshot.batch_index.
+
+    A batch that raised after it was logged has no recorded outcome; it
+    is skipped, because the live engine never committed any of it.
 
     ``make_engine(database)`` must return an engine whose ``run_batch``
     implements the same deterministic commit policy that produced the
@@ -67,13 +70,16 @@ def recover(
     # Convention: snapshot.batch_index counts batches already applied
     # when the snapshot was captured, so replay resumes at that index.
     for record in log.batches():
-        if record.batch_index < snapshot.batch_index:
+        if (
+            record.batch_index < snapshot.batch_index
+            or record.committed_tids is None
+        ):
             continue
         batch = transactions_from_record(record)
         result = engine.run_batch(batch)
         expected = set(record.committed_tids)
         got = {t.tid for t in result.committed}
-        if expected and got != expected:
+        if got != expected:
             raise StorageError(
                 f"non-deterministic replay of batch {record.batch_index}: "
                 f"expected commits {sorted(expected)[:8]}..., got "

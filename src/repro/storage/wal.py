@@ -15,7 +15,7 @@ validate that re-running the log reproduces the database state.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.errors import StorageError
@@ -42,12 +42,17 @@ class LogRecord:
 
 @dataclass
 class BatchRecord:
-    """The log entry for one processed batch."""
+    """The log entry for one batch.
+
+    The outcome lists stay ``None`` until :meth:`BatchLog.record_outcome`
+    runs after the batch finished: a batch that raised mid-way has no
+    outcome, and recovery must not replay it.
+    """
 
     batch_index: int
     records: list[LogRecord]
-    committed_tids: list[int] = field(default_factory=list)
-    aborted_tids: list[int] = field(default_factory=list)
+    committed_tids: list[int] | None = None
+    aborted_tids: list[int] | None = None
 
 
 class BatchLog:

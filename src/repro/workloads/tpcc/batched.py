@@ -64,9 +64,8 @@ def _dup_in_rows(
 
 
 # Twins live at module level (bound to their scale via functools.partial
-# at registration) so they stay picklable: the process-parallel executor
-# ships them to worker processes, which under the "spawn" start method
-# requires importable module-level callables, not closures.
+# at registration), not in closures, so they stay picklable by qualified
+# name (kernellint's KL3xx rule checks this).
 
 
 def _neworder_b(scale: TpccScale, bctx: BatchedContext, params: ParamColumns):

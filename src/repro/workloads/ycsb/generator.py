@@ -113,8 +113,8 @@ def _register_procedures(
 def _ycsb_txn_b(btree_scans, bctx, params):
     """Vectorized twin: one emission pass per op position.
 
-    Module-level (bound via ``functools.partial``) so the parallel
-    executor can pickle it to spawn-started workers.
+    Module-level (bound via ``functools.partial``), so it stays
+    picklable by qualified name (kernellint's KL3xx rule).
 
     Lanes whose op sequence needs a read-your-own-writes overlay —
     a later op reading a key this lane already wrote (code 4) or
@@ -198,37 +198,6 @@ def _ycsb_txn_b(btree_scans, bctx, params):
                     )
                 rows = lo[:, None] + xp.arange(SCAN_LENGTH, dtype=np.int64)
                 bctx.read_block("usertable", sl, rows, "f1")
-
-
-def ycsb_partition_spec():
-    """Key-range sharding for YCSB: the usertable splits into
-    contiguous blocks of its loaded key space; scan ranges are
-    contiguous, so a scan's homes are just the owners of its two
-    endpoints.  Generated insert keys grow past the loaded range and
-    land on the last shard (the ``block`` rule clamps)."""
-    from repro.shard.partition import PartitionSpec, TableRule
-
-    block = TableRule("block")
-
-    def rules(database):
-        return {"usertable": block}
-
-    def classify(txn, part):
-        own = part.owner_key
-        p = txn.params
-        homes = set()
-        for j in range(0, len(p) - 1, 2):
-            code, key = p[j], p[j + 1]
-            if code == 3:
-                homes.add(own("usertable", key))
-                homes.add(own("usertable", key + SCAN_LENGTH - 1))
-            else:
-                homes.add(own("usertable", key))
-        return tuple(sorted(homes))
-
-    return PartitionSpec(
-        name="ycsb", rules_for=rules, default=block, classify=classify
-    )
 
 
 class YcsbGenerator:

@@ -5,8 +5,9 @@ The batched executor's whole data path — twin emission over a
 conflict-log registration, delayed-update merge, write-back scatter —
 is pure vectorized int64 array code.  :class:`ArrayBackend` names the
 primitives that code is allowed to call, so the same twins run on
-NumPy (the pinned reference), CuPy or PyTorch (device-resident), or
-the ``mockgpu`` contract checker, by passing a different ``xp``.
+NumPy (the pinned reference) or the ``mockgpu`` contract checker — and
+on any device backend that implements the protocol — by passing a
+different ``xp``.
 
 Conventions every backend must honor:
 
@@ -166,7 +167,7 @@ class ArrayBackend:
     def kernel_phase(self, name: str):
         """Mark a device-kernel region.  ``mockgpu`` forbids implicit
         host round-trips inside it; other backends treat it as a
-        documentation no-op (CuPy/torch launches are already async)."""
+        documentation no-op (real device launches are already async)."""
         yield self
 
     def synchronize(self) -> None:

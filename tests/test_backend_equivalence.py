@@ -231,18 +231,10 @@ def _smallbank_engine(**config_kwargs):
     [
         (dict(array_backend="cuda"), "unknown"),
         (dict(array_backend="NUMPY"), "unknown"),  # names are case-sensitive
+        (dict(array_backend="auto"), "unknown"),  # no device to pick from
         (
             dict(array_backend="mockgpu", columnar_ops=True, batched_exec=False),
             "batched_exec",
-        ),
-        (
-            dict(
-                array_backend="mockgpu",
-                columnar_ops=True,
-                batched_exec=True,
-                parallel_workers=2,
-            ),
-            "parallel_workers",
         ),
         (
             dict(
@@ -257,26 +249,14 @@ def _smallbank_engine(**config_kwargs):
     ids=[
         "unknown-name",
         "case-sensitive",
+        "no-auto",
         "needs-batched-exec",
-        "no-parallel-workers",
         "no-sanitize",
     ],
 )
 def test_invalid_backend_configs_raise_config_error(kwargs, match):
     with pytest.raises(ConfigError, match=match):
         LTPGConfig(batch_size=64, **kwargs)
-
-
-def test_auto_backend_degrades_instead_of_raising():
-    # "auto" accepts every feature combination: the engine resolves it
-    # to numpy when the batched device path cannot run
-    for kwargs in (
-        dict(batched_exec=False),
-        dict(columnar_ops=True, batched_exec=True, parallel_workers=2),
-        dict(sanitize=True),
-    ):
-        engine = _smallbank_engine(batch_size=64, array_backend="auto", **kwargs)
-        assert engine._ensure_backend().name == "numpy"
 
 
 def test_explicit_numpy_accepts_every_mode():

@@ -14,7 +14,9 @@ from repro.baselines import (
     GpuTxEngine,
     PwvEngine,
 )
+from repro.baselines.calvin import deterministic_order
 from repro.gpusim.config import CpuConfig
+from repro.txn import Transaction
 
 
 def prepared(txns):
@@ -189,3 +191,14 @@ class TestGaccoAccessTable:
         )
         # 32 distinct dirty rows ship more than 1 dirty row
         assert wide.transfer_ns > narrow.transfer_ns
+
+
+def test_deterministic_order_is_stable_tid_sort():
+    txns = [
+        Transaction("balance", (i,), tid=tid)
+        for i, tid in enumerate([5, 1, 3, 1, 2])
+    ]
+    ordered = deterministic_order(txns)
+    assert [t.tid for t in ordered] == [1, 1, 2, 3, 5]
+    # stable: the two tid=1 entries keep their admission order
+    assert ordered[0].params[0] == 1 and ordered[1].params[0] == 3

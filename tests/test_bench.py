@@ -199,3 +199,35 @@ class TestRunnerValidation:
         bench = tpcc_bench(2, scale=TINY)
         with pytest.raises(BenchmarkError):
             steady_state_run(bench.engine(), bench.generator, 32, 0)
+
+
+# ---------------------------------------------------------------------------
+# Assembly prefetch: identical RunStats with and without the overlap
+# ---------------------------------------------------------------------------
+def _steady_state(prefetch: bool, retry_delay: int):
+    from repro.bench.runner import steady_state_run
+    from repro.core import LTPGConfig, LTPGEngine
+    from repro.workloads.smallbank import build_smallbank
+
+    db, registry, gen = build_smallbank(num_accounts=300, zipf_alpha=1.5, seed=6)
+    config = LTPGConfig(
+        batch_size=128,
+        batched_exec=True,
+        prefetch_assembly=prefetch,
+        retry_delay_batches=retry_delay,
+    )
+    engine = LTPGEngine(db, registry, config)
+    result = steady_state_run(engine, gen, batch_size=128, num_batches=6)
+    stats = [
+        (b.committed, b.aborted, b.logic_aborted, dict(b.phase_ns))
+        for b in result.run.batches
+    ]
+    digest = engine.database.state_digest()
+    return stats, result.run.total_committed, result.makespan_ns, digest
+
+
+@pytest.mark.parametrize("retry_delay", [1, 2])
+def test_prefetch_assembly_identical_run_stats(retry_delay):
+    # delay 1 degrades to the synchronous path (the next shortfall
+    # depends on the current batch's aborts); delay 2 actually overlaps
+    assert _steady_state(True, retry_delay) == _steady_state(False, retry_delay)

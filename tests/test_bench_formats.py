@@ -1,10 +1,15 @@
 """Rendering of every bench result object (regression guard for the
-CLI output the EXPERIMENTS.md tables are diffed against)."""
+CLI output the EXPERIMENTS.md tables are diffed against), plus the
+schema of the committed ``BENCH_wallclock.json``."""
 
 from __future__ import annotations
 
+import json
+import os
+
 import pytest
 
+from repro.bench import wallclock
 from repro.bench.ablations import AblationResult
 from repro.bench.calibration import CalibrationResult
 from repro.bench.fig6 import Fig6aResult, Fig6bResult
@@ -18,6 +23,8 @@ from repro.bench.table5 import Table5Result
 from repro.bench.table6 import Table6Cell, Table6Result
 from repro.bench.table8 import Table8Result
 from repro.bench.table9 import Table9Result
+
+_ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 
 
 class TestTableFormats:
@@ -115,3 +122,47 @@ class TestTableFormats:
         assert "2.00x" in r.format()
         r.record("zero", 0.0, 1.0)
         assert r.worst_ratio() == float("inf")
+
+
+class TestWallclockBaseline:
+    """The committed ``BENCH_wallclock.json`` matches what the sweep
+    emits, so a regeneration cannot silently gain or lose a column."""
+
+    @pytest.fixture(scope="class")
+    def committed(self):
+        with open(os.path.join(_ROOT, "BENCH_wallclock.json")) as fh:
+            return json.load(fh)
+
+    def test_series_are_the_sweep_paths(self, committed):
+        series = {name for name, _columnar, _batched in wallclock.SWEEP_PATHS}
+        assert set(committed["seconds_per_batch"]) == series
+
+    def test_every_series_covers_every_batch_size(self, committed):
+        sizes = {str(b) for b in committed["batch_sizes"]}
+        for name, by_batch in committed["seconds_per_batch"].items():
+            assert set(by_batch) == sizes, name
+            for phases in by_batch.values():
+                assert set(phases) == {*wallclock.PHASES, "total"}, name
+
+    def test_top_level_keys_match_the_emitter(self, committed):
+        phases = dict.fromkeys((*wallclock.PHASES, "total"), 1.0)
+        result = wallclock.WallclockResult(
+            seconds={
+                name: {1024: dict(phases)}
+                for name, _columnar, _batched in wallclock.SWEEP_PATHS
+            }
+        )
+        assert set(result.to_json()) == set(committed)
+
+    def test_no_key_names_a_deleted_path(self, committed):
+        def keys(node):
+            if isinstance(node, dict):
+                for key, value in node.items():
+                    yield key
+                    yield from keys(value)
+
+        stale = [
+            k for k in keys(committed)
+            if any(word in k for word in ("parallel", "shard"))
+        ]
+        assert not stale, stale

@@ -18,8 +18,7 @@ import numpy as np
 import pytest
 
 import repro.core.engine as engine_mod
-from repro.core import LTPGConfig
-from repro.shard import make_engine
+from repro.core import LTPGConfig, LTPGEngine
 from repro.txn import Transaction
 from repro.txn.operations import OpColumns
 from repro.workloads.tpcc import DELAYED_COLUMNS, SPLIT_COLUMNS, TpccMix, build_tpcc
@@ -31,7 +30,7 @@ FULL_MIX = TpccMix(
 )
 
 
-def _engine(batched: bool, **overrides):
+def _engine(batched: bool):
     db, registry, _ = build_tpcc(warehouses=2, num_items=2000, mix=FULL_MIX, seed=7)
     config = LTPGConfig(
         batch_size=256,
@@ -41,9 +40,8 @@ def _engine(batched: bool, **overrides):
         delayed_columns=DELAYED_COLUMNS,
         split_flags=True,
         split_columns=SPLIT_COLUMNS,
-        **overrides,
     )
-    return make_engine(db, registry, config)
+    return LTPGEngine(db, registry, config)
 
 
 def _specs(batches: int = 2, size: int = 256):
@@ -92,17 +90,6 @@ def test_run_batch_copies_no_lane_ops_and_builds_no_witness(counters):
     assert result.serial_order() == reference.serial_order()
     assert counters["witness"] > 0
     assert [t.status for t in batch] == [t.status for t in reference_batch]
-
-
-def test_sharded_result_keeps_witness_unevaluated(counters):
-    (specs,) = _specs(batches=1)
-    sharded = _engine(batched=True, shards=2)
-    with sharded:
-        result = sharded.run_batch(_txns(specs))
-    assert counters["witness"] == 0
-    plain = _engine(batched=True).run_batch(_txns(specs))
-    assert result.serial_order() == plain.serial_order()
-    assert result.serial_order()
 
 
 def test_aborted_lane_ops_survive_the_next_batch(counters):

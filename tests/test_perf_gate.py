@@ -45,13 +45,3 @@ def test_batched_beats_columnar_on_execute_writeback():
         "required floor on execute+writeback at the headline batch size"
     )
 
-
-@pytest.mark.perf
-def test_parallel_beats_batched_on_execute():
-    """The sharded executor's speedup gate (auto-skips below 4 cores —
-    check_parallel returns 0 with a message there, same as the CLI)."""
-    gate = _load_gate()
-    assert gate.check_parallel() == 0, (
-        "4 parallel workers no longer beat the in-process batched path "
-        "by the required floor on execute at the headline batch size"
-    )

@@ -9,7 +9,13 @@ from repro.core import LTPGConfig, LTPGEngine
 from repro.errors import StorageError
 from repro.storage import BatchLog, Snapshot
 from repro.storage.recovery import recover, transactions_from_record
-from repro.txn import BatchScheduler
+from repro.txn import BatchScheduler, assign_tids
+from repro.workloads.tpcc import (
+    DELAYED_COLUMNS,
+    HOT_TABLES,
+    SPLIT_COLUMNS,
+    build_tpcc,
+)
 
 
 def run_workload(engine, scheduler, batches):
@@ -83,6 +89,62 @@ class TestRecovery:
         rebuilt = transactions_from_record(engine.batch_log.batches()[0])
         assert [t.tid for t in rebuilt] == [7, 9]
         assert [t.params for t in rebuilt] == [(1, 2), (2, 3)]
+
+    def test_batch_that_raised_is_not_replayed(self, monkeypatch):
+        """A batch logged before it raised has no outcome: the live
+        engine committed none of it, so replay must skip it."""
+        db, registry, gen = build_tpcc(warehouses=4, num_items=2000, seed=7)
+        config = LTPGConfig(
+            batch_size=512,
+            batched_exec=True,
+            delayed_columns=DELAYED_COLUMNS,
+            split_columns=SPLIT_COLUMNS,
+            hot_tables=HOT_TABLES,
+        )
+        engine = LTPGEngine(db, registry, config)
+        next_tid = 0
+
+        def run_next():
+            nonlocal next_tid
+            batch = gen.make_batch(512)
+            next_tid = assign_tids(batch, next_tid)
+            return engine.run_batch(batch)
+
+        run_next()
+        snapshot = Snapshot.capture(db, batch_index=1)
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("injected write-back fault")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "_writeback_phase", fail)
+            with pytest.raises(RuntimeError, match="injected"):
+                run_next()
+        run_next()
+        failed, finished = engine.batch_log.batches()[1:]
+        assert failed.committed_tids is None
+        assert finished.committed_tids is not None
+
+        _, report = recover(
+            snapshot,
+            engine.batch_log,
+            lambda database: LTPGEngine(database, registry, config),
+        )
+        assert report.final_digest == db.state_digest()
+        assert report.batches_replayed == 1
+
+    def test_empty_commit_set_is_still_checked(self):
+        db, self.registry = build_bank(accounts=8)
+        engine = LTPGEngine(db, self.registry, LTPGConfig(batch_size=8))
+        snapshot = Snapshot.capture(db, batch_index=0)
+        batch = [txn("transfer", 0, 1, 5)]
+        batch[0].tid = 0
+        engine.run_batch(batch)
+        # A finished batch that committed nothing still has an outcome,
+        # and replay must reproduce it exactly.
+        engine.batch_log.batches()[0].committed_tids = []
+        with pytest.raises(StorageError):
+            recover(snapshot, engine.batch_log, self.make_engine)
 
     def test_recovered_engine_continues_processing(self):
         digest, engine, report = self.crash_and_recover(snapshot_at=2, total_batches=4)

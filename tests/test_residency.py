@@ -13,9 +13,6 @@ edges where that ownership inversion could go stale:
   backend's crossings before the new backend re-uploads);
 * ``reset_run_state`` (run boundary = full host sync, device copies
   survive for the next run);
-* ``parallel_workers`` shm export under the numpy backend (residency is
-  inert on host-identity backends, so the exported snapshot is current
-  by construction);
 * table ``_grow`` / ``append_keys`` during inserts (capacity doubling
   swaps the host ndarray out from under the device cache; the view must
   fence first and re-upload lazily);
@@ -219,35 +216,6 @@ def test_reset_run_state_syncs_host_and_keeps_device_cache():
     assert engine.database.state_digest() == expected_mid
     # and the surviving device copies stay coherent for the next run
     assert _observe(engine, batches[1:])[-1] == expected_end
-
-
-# ---------------------------------------------------------------------------
-# parallel_workers shm export (numpy backend, residency inert)
-# ---------------------------------------------------------------------------
-def test_parallel_shm_export_with_resident_flag():
-    def run(resident):
-        db, registry, gen = build_smallbank(
-            num_accounts=200, zipf_alpha=1.2, seed=3
-        )
-        config = LTPGConfig(
-            batch_size=128,
-            columnar_ops=True,
-            batched_exec=True,
-            parallel_workers=2,
-            array_backend="numpy",
-            device_resident=resident,
-        )
-        engine = LTPGEngine(db, registry, config)
-        try:
-            batches = [
-                [(t.procedure_name, t.params) for t in gen.make_batch(128)]
-                for _ in range(2)
-            ]
-            return _observe(engine, batches)
-        finally:
-            engine.close()
-
-    assert run(True) == run(False)
 
 
 # ---------------------------------------------------------------------------

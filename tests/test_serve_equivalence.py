@@ -79,11 +79,8 @@ def _serve(name, specs, policy_name, batch_size, gap_ns=150, **overrides):
         responses = [await f for f in futures]
         return responses, orch
 
-    try:
-        responses, orch = run_simulation(main())
-        digest = engine.database.state_digest()
-    finally:
-        engine.close()
+    responses, orch = run_simulation(main())
+    digest = engine.database.state_digest()
     retries = orch.metrics.counter("serve.retries").value
     return digest, responses, orch.batch_records, retries
 
@@ -96,13 +93,10 @@ def _pregenerated(name, specs, batch_size, **overrides):
         batch_size, retry_delay_batches=engine.config.effective_retry_delay
     )
     scheduler.admit(txns)
-    try:
-        while scheduler.has_work():
-            result = engine.run_batch(scheduler.next_batch())
-            scheduler.requeue_aborted(result.aborted)
-        digest = engine.database.state_digest()
-    finally:
-        engine.close()
+    while scheduler.has_work():
+        result = engine.run_batch(scheduler.next_batch())
+        scheduler.requeue_aborted(result.aborted)
+    digest = engine.database.state_digest()
     return digest, txns
 
 
@@ -111,20 +105,17 @@ def _replay(name, specs, records, **overrides):
     batch_size = max((len(r.members) for r in records), default=1)
     engine = _engine(name, batch_size, **overrides)
     txns = [Transaction(procedure, params) for procedure, params in specs]
-    try:
-        for record in records:
-            batch = []
-            for seq, tid in record.members:
-                txn = txns[seq]
-                if txn.tid < 0:
-                    txn.tid = tid
-                else:
-                    assert txn.tid == tid, "retry must keep its first TID"
-                batch.append(txn)
-            engine.run_batch(batch)
-        digest = engine.database.state_digest()
-    finally:
-        engine.close()
+    for record in records:
+        batch = []
+        for seq, tid in record.members:
+            txn = txns[seq]
+            if txn.tid < 0:
+                txn.tid = tid
+            else:
+                assert txn.tid == tid, "retry must keep its first TID"
+            batch.append(txn)
+        engine.run_batch(batch)
+    digest = engine.database.state_digest()
     return digest, txns
 
 
